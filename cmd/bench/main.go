@@ -18,7 +18,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"strings"
 	"testing"
 
 	"quarc/noc/bench"
@@ -38,8 +37,6 @@ func main() {
 		"with -baseline: exit nonzero when any case's allocs/op regresses by more than this fraction (e.g. 0.10; negative disables)")
 	maxSpeedRegress := flag.Float64("max-speed-regress", -1,
 		"with -baseline: exit nonzero when any case's events/sec throughput drops by more than this fraction (e.g. 0.10; negative disables)")
-	parallelSpeedup := flag.Bool("parallel-speedup", true,
-		"print the NetworkRun/par-N speedups over the NetworkRun/mesh8 serial baseline")
 	// testing.Init registers the testing flags (notably test.benchtime)
 	// that testing.Benchmark reads; it must run before flag.Parse.
 	testing.Init()
@@ -70,10 +67,6 @@ func main() {
 		}
 	}
 
-	if *parallelSpeedup {
-		printParallelSpeedup(recs)
-	}
-
 	failed := false
 	if *baseline != "" {
 		base, err := readBaseline(*baseline)
@@ -98,29 +91,6 @@ func main() {
 	}
 	if failed {
 		os.Exit(1)
-	}
-}
-
-// printParallelSpeedup renders the intra-run parallel cases against
-// their serial baseline (same mesh-8x8 configuration, serial Run):
-// wall-clock speedup per shard count. On a single-core runner the
-// column reads ≤1x — the synchronization overhead, honestly reported.
-func printParallelSpeedup(recs []bench.Record) {
-	var serial float64
-	for _, r := range recs {
-		if r.Name == "NetworkRun/mesh8" {
-			serial = r.NsPerOp
-		}
-	}
-	if serial <= 0 {
-		return
-	}
-	fmt.Printf("\n%-20s %10s\n", "parallel case", "speedup")
-	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, "NetworkRun/par-") || r.NsPerOp <= 0 {
-			continue
-		}
-		fmt.Printf("%-20s %9.2fx\n", r.Name, serial/r.NsPerOp)
 	}
 }
 

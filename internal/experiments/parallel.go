@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"quarc/internal/routing"
 )
 
 // RunPanels evaluates several figure panels concurrently using a bounded
@@ -52,42 +50,4 @@ func RunPanels(panels []Panel, sim SimConfig, workers int) ([]Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// RunPointsParallel evaluates the sweep points of one configuration
-// concurrently. Unlike RunPanels this parallelizes within a panel; each
-// point owns its workload RNG (seeded identically to the sequential path),
-// so results are again deterministic. The router is shared across workers,
-// which is safe: routers are read-only after construction.
-func RunPointsParallel(rt routing.Router, set routing.MulticastSet, msgLen int, alpha float64, rates []float64, sim SimConfig, workers int) ([]Point, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(rates) {
-		workers = len(rates)
-	}
-	points := make([]Point, len(rates))
-	errs := make([]error, len(rates))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				points[i], errs[i] = RunPoint(rt, set, msgLen, alpha, rates[i], sim)
-			}
-		}()
-	}
-	for i := range rates {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
 }

@@ -88,8 +88,8 @@ type Config struct {
 	// list may carry it — the directive placement is itself checked.
 	Hotpaths map[string][]string
 	// SharedStatePackages lists the import paths the sharedstate audit
-	// inventories — the packages the future parallel engine would shard
-	// across cores. Defaults to the determinism closure.
+	// inventories — the packages whose state concurrent runs, requests
+	// and replications could share. Defaults to the determinism closure.
 	SharedStatePackages []string
 	// Checkers restricts the run to the named checkers; empty means all.
 	// Names must come from Checkers() — the caller validates.

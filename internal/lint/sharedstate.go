@@ -12,11 +12,12 @@ import (
 	"strings"
 )
 
-// checkSharedState is the machine-readable prerequisite audit for the
-// conservative parallel engine (ROADMAP item 1): before one simulation
-// is sharded across cores, every piece of mutable state two partitions
-// could touch must be known. The pass inventories, for each package on
-// the result path:
+// checkSharedState is the machine-readable audit of mutable state on the
+// result path: replications, sweep points and served requests run
+// concurrently, and any state two of them could touch is a way for one
+// run to perturb another's bitwise-deterministic result, so every piece
+// of it must be known. The pass inventories, for each package on the
+// result path:
 //
 //   - every package-level variable, with the functions that mutate it at
 //     runtime (outside init functions, package-level var initializers,

@@ -31,10 +31,6 @@ const (
 	KindReleased Kind = Kind(wormhole.HookChannelReleased)
 	// KindQueue is a channel wait-queue occupancy change.
 	KindQueue Kind = Kind(wormhole.HookQueueChanged)
-	// KindPartition is a parallel run's per-partition summary
-	// (wormhole.HookPartitionDone): Node carries the partition index and
-	// Msg the partition's flit-level-equivalent event count.
-	KindPartition Kind = Kind(wormhole.HookPartitionDone)
 )
 
 // Record is one recorded hook firing, flattened to plain scalars so it

@@ -195,8 +195,8 @@ func (e *Engine) Pending() int {
 // root; the calendar queue has no cheap peek, so the engine pops the head
 // and re-files it under its original sequence number — the (time, seq)
 // order is exactly restored, because event order never depends on bucket
-// geometry. The conservative parallel coordinator (internal/sim/par) uses
-// this to compute the global synchronization horizon each round.
+// geometry. A driver that interleaves its own work with the event loop
+// uses it to find the next instant to Run to.
 func (e *Engine) NextTime() (float64, bool) {
 	if e.useHeap {
 		if len(e.heap) == 0 {

@@ -420,13 +420,6 @@ func multicastTable(router routing.Router, set routing.MulticastSet) ([][]routin
 // Spec returns the workload specification.
 func (w *Workload) Spec() Spec { return w.spec }
 
-// ParallelSafe marks the workload safe for concurrent Interarrival and
-// Next calls on distinct nodes (the wormhole.ParallelSafe contract):
-// generation state is per node — rngs[node], srcs[node], arr[node] —
-// and the route tables, branch caches and destination CDF those calls
-// read are built once up front and never written during a run.
-func (w *Workload) ParallelSafe() {}
-
 // Reset re-derives the workload in place for a new spec and seed over the
 // same router. The unicast route cache is always kept (routes depend only
 // on the router) and the multicast branch cache is kept whenever the

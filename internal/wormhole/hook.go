@@ -40,13 +40,6 @@ const (
 	// blocked) or shrinks (a queued worm was granted), with the new
 	// occupancy.
 	HookQueueChanged
-	// HookPartitionDone fires once per partition at the end of a
-	// parallel run (RunParallel), from the coordinating goroutine after
-	// the shards have joined: Node carries the partition index and Msg
-	// the partition's flit-level-equivalent event count. Serial runs
-	// never fire it. It is the one position whose attachment does not
-	// force RunParallel onto the serial fallback.
-	HookPartitionDone
 
 	numHookPos
 )
@@ -55,7 +48,7 @@ const (
 // default.
 var hookPositions = [...]HookPos{
 	HookWormInjected, HookWormEjected, HookChannelGranted,
-	HookChannelReleased, HookQueueChanged, HookPartitionDone,
+	HookChannelReleased, HookQueueChanged,
 }
 
 // String names the position for logs and recorder output.
@@ -71,8 +64,6 @@ func (p HookPos) String() string {
 		return "channel-released"
 	case HookQueueChanged:
 		return "queue-changed"
-	case HookPartitionDone:
-		return "partition-done"
 	}
 	return "unknown"
 }
@@ -91,8 +82,7 @@ type HookCtx struct {
 	// Channel is the channel involved (grant/release/queue positions;
 	// topology.None elsewhere).
 	Channel topology.ChannelID
-	// Msg is the id of the message involved. For HookPartitionDone it
-	// carries the partition's event count instead.
+	// Msg is the id of the message involved.
 	Msg int64
 	// Multicast marks the message as a multicast.
 	Multicast bool

@@ -152,13 +152,6 @@ type channel struct {
 	// when holder != nil && holder.spanning.
 	spanRelease float64
 	spanSeq     uint64
-	// spanDeferred is the parallel engine's explicit deferral marker
-	// (parallel.go). Serially, "holder is spanning and the queue is
-	// empty" implies this channel's release was deferred, but a parallel
-	// shard can hold a channel whose worm spans in another shard (the
-	// release then arrives as a materialized event), so deferral is
-	// recorded per channel. The serial path never reads it.
-	spanDeferred bool
 }
 
 type message struct {
@@ -173,32 +166,29 @@ type message struct {
 	// per-distance breakdowns (unused for multicasts).
 	port  int
 	depth int
-	// src is the injecting node, kept for the canonical sample fold's
-	// tie-break key (see foldSamples).
+	// src is the injecting node: the last key of the canonical sample
+	// order (see latSample), which breaks ties no time can.
 	src topology.NodeID
-	// lastDoneBits is the parallel engine's field (parallel.go): the
-	// float64 bit pattern of the latest branch completion, maintained by
-	// CAS so branches completing in different shards fold commutatively.
-	// The serial path never touches it (it uses lastDone directly).
-	lastDoneBits uint64
 }
 
 // latSample is one measured message completion. Latency estimators are
 // folded from buffered samples at the end of the run, in the canonical
 // (completion, generation, source) order, rather than inline in event
-// order: event order and canonical order differ only where completion
-// times tie exactly — which blocking makes routine, since a worm granted
-// at its blocker's release inherits the blocker's time base — and the
-// canonical order is the one a parallel run can reproduce, because it is
-// a function of sample content rather than of the global event sequence
-// (see parallel.go).
+// order. The two orders differ only where completion times tie exactly —
+// which blocking makes routine, since a worm granted at its blocker's
+// release inherits the blocker's time base — and there the fold order
+// decides the rounding of the running sums and the batch-means
+// boundaries. The canonical order is part of the output contract: the
+// golden results and the benchmark's reference digests were produced by
+// it, and a streaming fold in event order changes their bytes. It is
+// also a function of the samples alone, so the result does not depend
+// on how the engine sequences same-time events.
 type latSample struct {
 	t, gen    float64
 	src       topology.NodeID
 	multicast bool
 	// port and depth carry the unicast breakdown coordinates for Detail
-	// runs (zero otherwise; the parallel engine never records them, as
-	// Detail runs fall back to the serial path).
+	// runs (zero otherwise).
 	port  int
 	depth int
 }
@@ -237,13 +227,6 @@ type worm struct {
 	// queue references the worm and it returns to the pool.
 	held int
 	done bool
-	// pstate packs the same occupancy state for the parallel engine
-	// (parallel.go): a held count in the low bits plus done/spanning flag
-	// bits, maintained with atomic adds because a stretched worm's
-	// channels can be released from several shards. Serial and parallel
-	// runs use disjoint worm populations, so each mode reads only its own
-	// fields.
-	pstate int32
 	// spanning marks a worm draining in coalesced span mode: its remaining
 	// channel releases are deferred to their precomputed times (each
 	// channel's spanRelease) and applied lazily, by one evSpanDone event,
@@ -457,7 +440,6 @@ func (nw *Network) Reset(traffic Traffic, cfg Config) error {
 		c.busy = 0
 		c.grants = 0
 		c.spanRelease = 0
-		c.spanDeferred = false
 	}
 	nw.res = Result{}
 	nw.measuring = false
@@ -545,8 +527,9 @@ func (nw *Network) busySpan(grant, release float64) float64 {
 
 // foldSamples sorts the buffered completion samples canonically and
 // feeds them to the latency estimators. Order only matters to the
-// rounding of the running sums and the batch-means boundaries; sorting
-// pins that rounding to a sequence a parallel run can reproduce.
+// rounding of the running sums and the batch-means boundaries, and the
+// result bytes pin that rounding to the canonical order (see latSample),
+// whatever order the events completed in.
 func (nw *Network) foldSamples() {
 	sortSamples(nw.samples)
 	for _, s := range nw.samples {
@@ -927,7 +910,8 @@ func (nw *Network) complete(msg *message, t float64) {
 		nw.res.Completed++
 		nw.pendingMeasured--
 		// The estimator folds are deferred to finish so they happen in
-		// canonical rather than event order (see latSample).
+		// canonical rather than event order: the result bytes are pinned
+		// to that order (see latSample).
 		nw.samples = append(nw.samples, latSample{
 			t: msg.lastDone, gen: msg.gen, src: msg.src,
 			multicast: msg.multicast, port: msg.port, depth: msg.depth,

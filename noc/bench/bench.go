@@ -63,9 +63,6 @@ func Suite() []Case {
 		{Name: "NetworkRun/noop-hook", Run: benchNetworkRunNoopHook},
 		{Name: "NetworkRun/metrics", Run: benchNetworkRunMetrics},
 		{Name: "NetworkRun/mesh8", Run: benchNetworkRunMesh8},
-		{Name: "NetworkRun/par-2", Run: benchNetworkRunPar(2)},
-		{Name: "NetworkRun/par-4", Run: benchNetworkRunPar(4)},
-		{Name: "NetworkRun/par-8", Run: benchNetworkRunPar(8)},
 	}
 }
 
@@ -349,12 +346,9 @@ func benchNetworkRunMetrics(b *testing.B) {
 	}
 }
 
-// parBenchSetup is the mesh-8x8 unicast mid-load configuration shared
-// by the serial baseline (NetworkRun/mesh8) and the parallel cases
-// (NetworkRun/par-N) — the speedup scenario tracked in EXPERIMENTS.md.
-// Mesh rather than quarc: row-band partitions of a large mesh give the
-// conservative windows the most local work per cross-seam channel.
-func parBenchSetup(b *testing.B) (*routing.MeshRouter, traffic.Spec, wormhole.Config) {
+// meshBenchSetup is the mesh-8x8 unicast mid-load configuration of
+// NetworkRun/mesh8.
+func meshBenchSetup(b *testing.B) (*routing.MeshRouter, traffic.Spec, wormhole.Config) {
 	b.Helper()
 	m, err := topology.NewMesh(8, 8)
 	if err != nil {
@@ -365,11 +359,12 @@ func parBenchSetup(b *testing.B) (*routing.MeshRouter, traffic.Spec, wormhole.Co
 	return rt, spec, wormhole.Config{MsgLen: 8, Warmup: 1000, Measure: 10000}
 }
 
-// benchNetworkRunMesh8 is the serial reuse path on the parallel cases'
-// exact configuration: the baseline the NetworkRun/par-N speedups are
-// computed against (cmd/bench -parallel-speedup).
+// benchNetworkRunMesh8 is the mesh row of the serial event-loop bench:
+// the reuse path of NetworkRun/reuse, but on a 64-node 2-D mesh (XY
+// routes, unicast) instead of quarc-16, so the trajectory also tracks
+// the event loop at four times the nodes on the second topology family.
 func benchNetworkRunMesh8(b *testing.B) {
-	rt, spec, cfg := parBenchSetup(b)
+	rt, spec, cfg := meshBenchSetup(b)
 	w, err := traffic.NewWorkload(rt, spec, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -392,51 +387,6 @@ func benchNetworkRunMesh8(b *testing.B) {
 	}
 	b.StopTimer()
 	reportEventRate(b, events)
-}
-
-// benchNetworkRunPar is the conservative parallel engine on the same
-// configuration, one case per shard count. Results are bitwise-equal to
-// the serial baseline (the differential battery pins that); what this
-// case measures is the window-synchronization cost and, with cores to
-// spare, the speedup.
-func benchNetworkRunPar(p int) func(b *testing.B) {
-	return func(b *testing.B) {
-		rt, spec, cfg := parBenchSetup(b)
-		w, err := traffic.NewWorkload(rt, spec, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nw, err := wormhole.New(rt.Graph(), w, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var events uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := w.Reset(spec, 1); err != nil {
-				b.Fatal(err)
-			}
-			if err := nw.Reset(w, cfg); err != nil {
-				b.Fatal(err)
-			}
-			r, ok := nw.RunParallel(p)
-			if !ok {
-				b.Fatal("parallel run aborted on an unsaturated workload")
-			}
-			events += r.Events
-		}
-		b.StopTimer()
-		// No events/sec metric, deliberately: like SweepScaling, a
-		// scaling case's throughput is scheduler-bound and too noisy
-		// for the CI speed gate (spin-barrier rounds swing ~30% on a
-		// busy single-core runner). The speedup column derives from
-		// ns/op against NetworkRun/mesh8.
-		if events == 0 {
-			b.Fatal("parallel runs fired no events")
-		}
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "procs")
-	}
 }
 
 func reportEventRate(b *testing.B, events uint64) {

@@ -17,9 +17,6 @@ func BenchmarkNetworkRun(b *testing.B) {
 	b.Run("reuse", benchNetworkRunReuse)
 	b.Run("onoff", benchNetworkRunOnOff)
 	b.Run("mesh8", benchNetworkRunMesh8)
-	b.Run("par-2", benchNetworkRunPar(2))
-	b.Run("par-4", benchNetworkRunPar(4))
-	b.Run("par-8", benchNetworkRunPar(8))
 }
 
 func BenchmarkReplay(b *testing.B) { benchReplay(b) }

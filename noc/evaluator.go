@@ -149,17 +149,6 @@ type networkPool struct {
 	rt routing.Router
 }
 
-// parallelArrival reports whether the arrival process has continuous
-// interarrival times — the workload-side precondition of the parallel
-// engine's bitwise-equality argument (two message lineages never tie).
-func parallelArrival(name string) bool {
-	switch name {
-	case "", "poisson", "onoff":
-		return true
-	}
-	return false
-}
-
 // simulate runs the wormhole simulator on the scenario under an explicit
 // seed (the scenario seed, or a replication-derived one). With a pool it
 // reuses the pooled network and workload via their Resets when the
@@ -183,7 +172,6 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 	// traffic source for exactly one run.
 	var recorder *traffic.Recorder
 	var nw *wormhole.Network
-	var wl *traffic.Workload // set on the workload-driven paths (parallel-capable)
 	switch {
 	case s.cfg.replay != nil:
 		rp, err := traffic.NewReplayer(s.router, s.set, s.cfg.replay.tr)
@@ -215,7 +203,7 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		if err := pool.nw.Reset(pool.wl, cfg); err != nil {
 			return Result{}, err
 		}
-		nw, wl = pool.nw, pool.wl
+		nw = pool.nw
 	default:
 		w, err := traffic.NewWorkload(s.router, s.trafficSpec(), seed)
 		if err != nil {
@@ -225,7 +213,6 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		wl = w
 		if pool != nil {
 			pool.nw, pool.wl, pool.rt = nw, w, s.router
 		}
@@ -247,33 +234,7 @@ func simulate(s *Scenario, pool *networkPool, seed uint64) (Result, error) {
 		metricsColl = obs.NewCollector(sink, 0)
 		nw.Attach(metricsColl)
 	}
-	var r wormhole.Result
-	if p := s.cfg.intraParallelism; p > 1 && wl != nil && parallelArrival(s.cfg.arrival) {
-		// The conservative parallel engine; bitwise-identical to Run for
-		// every configuration it accepts and a silent serial fallback for
-		// the rest (metrics hooks included — see parEligible). The
-		// arrival gate is the caller-side half of its contract:
-		// integer-lattice processes tie event times across nodes, which
-		// only a global event order can break the way the serial engine
-		// does. ok=false means saturation stopped the run mid-window; the
-		// serial engine reproduces the truncated result from a fresh
-		// reset.
-		var ok bool
-		if r, ok = nw.RunParallel(p); !ok {
-			if err := wl.Reset(s.trafficSpec(), seed); err != nil {
-				return Result{}, err
-			}
-			if err := nw.Reset(wl, cfg); err != nil {
-				return Result{}, err
-			}
-			if metricsColl != nil { // Reset detaches hooks
-				nw.Attach(metricsColl)
-			}
-			r = nw.Run()
-		}
-	} else {
-		r = nw.Run()
-	}
+	r := nw.Run()
 	if recorder != nil {
 		tr := recorder.Trace()
 		// The workload does not know the message length (it is a

@@ -21,11 +21,25 @@ func intraBase(t *testing.T, extra ...Option) *Scenario {
 	return s
 }
 
-// TestIntraParallelismBitwise pins the option's contract at the API
-// boundary: for every shard count — and on both the stateless and the
-// pooled simulator — the Result is bitwise-identical to the serial
-// evaluation, including the paths the engine declines and runs serially
-// (lattice arrivals, metrics recording).
+// withIntra recompiles s from its Spec with the retired
+// intra_parallelism field set to p, the way a stored client spec that
+// still carries the field reaches the evaluator.
+func withIntra(t *testing.T, s *Scenario, p int) *Scenario {
+	t.Helper()
+	sp := s.Spec()
+	sp.IntraParallelism = p
+	out, err := sp.Scenario()
+	if err != nil {
+		t.Fatalf("intra_parallelism=%d: %v", p, err)
+	}
+	return out
+}
+
+// TestIntraParallelismBitwise pins that the retired intra_parallelism
+// field is inert: for every value, on both the stateless and the pooled
+// simulator, a spec carrying it evaluates bitwise-identically to the
+// same spec without it — across arrival processes and with metrics
+// recording on.
 func TestIntraParallelismBitwise(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -38,19 +52,20 @@ func TestIntraParallelismBitwise(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := (Simulator{}).Evaluate(intraBase(t, tc.extra...))
+			base := intraBase(t, tc.extra...)
+			serial, err := (Simulator{}).Evaluate(base)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := resultJSON(t, serial)
 			for _, p := range []int{2, 4, 8} {
-				s := intraBase(t, append(tc.extra, IntraParallelism(p))...)
+				s := withIntra(t, base, p)
 				got, err := (Simulator{}).Evaluate(s)
 				if err != nil {
 					t.Fatalf("p=%d: %v", p, err)
 				}
 				if gj := resultJSON(t, got); gj != want {
-					t.Errorf("p=%d: parallel result diverges\n got %s\nwant %s", p, gj, want)
+					t.Errorf("p=%d: result diverges\n got %s\nwant %s", p, gj, want)
 				}
 				pooled := NewPooledSimulator()
 				got2, err := pooled.Evaluate(s)
@@ -58,39 +73,38 @@ func TestIntraParallelismBitwise(t *testing.T) {
 					t.Fatalf("p=%d pooled: %v", p, err)
 				}
 				if gj := resultJSON(t, got2); gj != want {
-					t.Errorf("p=%d: pooled parallel result diverges\n got %s\nwant %s", p, gj, want)
+					t.Errorf("p=%d: pooled result diverges\n got %s\nwant %s", p, gj, want)
 				}
 			}
 		})
 	}
 }
 
-// TestIntraParallelismSaturationRerun pins the abort path through the
-// evaluator: a saturating scenario under IntraParallelism still reports
-// the serial engine's truncated saturated Result, via the rebuild-and-
-// rerun fallback.
+// TestIntraParallelismSaturationRerun pins the saturated path: a
+// saturating spec carrying intra_parallelism still reports exactly the
+// serial engine's truncated saturated Result.
 func TestIntraParallelismSaturationRerun(t *testing.T) {
-	hot := []Option{Rate(0.05), SatQueue(20), Measure(20000)}
-	serial, err := (Simulator{}).Evaluate(intraBase(t, hot...))
+	base := intraBase(t, Rate(0.05), SatQueue(20), Measure(20000))
+	serial, err := (Simulator{}).Evaluate(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !serial.Saturated {
 		t.Fatal("saturation scenario did not saturate serially")
 	}
-	got, err := (Simulator{}).Evaluate(intraBase(t, append(hot, IntraParallelism(4))...))
+	got, err := (Simulator{}).Evaluate(withIntra(t, base, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gj, want := resultJSON(t, got), resultJSON(t, serial); gj != want {
-		t.Errorf("saturated parallel result diverges\n got %s\nwant %s", gj, want)
+		t.Errorf("saturated result diverges\n got %s\nwant %s", gj, want)
 	}
 }
 
-// TestIntraParallelismSpec pins the declarative surface: the JSON field
-// round-trips through ParseSpec, canonicalizes to zero (execution
-// advice, not content), leaves the Fingerprint unperturbed, and still
-// reaches the compiled scenario's configuration.
+// TestIntraParallelismSpec pins the declarative surface of the retired
+// field: it still parses, canonicalizes to zero, leaves the Fingerprint
+// unperturbed, compiles to a scenario whose Spec omits it, and is still
+// range-checked.
 func TestIntraParallelismSpec(t *testing.T) {
 	sp, err := ParseSpec([]byte(`{"intra_parallelism": 4, "rate": 0.004}`))
 	if err != nil {
@@ -111,10 +125,6 @@ func TestIntraParallelismSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cfg.intraParallelism != 4 {
-		t.Errorf("compiled scenario has intraParallelism %d, want 4", s.cfg.intraParallelism)
-	}
-	// The inverse direction canonicalizes it away, like Parallelism.
 	if got := s.Spec(); got.IntraParallelism != 0 {
 		t.Errorf("Scenario.Spec() reports intra_parallelism %d", got.IntraParallelism)
 	}

@@ -85,19 +85,18 @@ type config struct {
 	service ServiceFormula
 
 	// simulator knobs
-	seed             uint64
-	warmup           float64
-	measure          float64
-	satQueue         int
-	drain            bool
-	detail           bool
-	mcPriority       bool
-	traceEnabled     bool
-	traceNode        int
-	traceLimit       int
-	replications     int
-	parallelism      int
-	intraParallelism int
+	seed         uint64
+	warmup       float64
+	measure      float64
+	satQueue     int
+	drain        bool
+	detail       bool
+	mcPriority   bool
+	traceEnabled bool
+	traceNode    int
+	traceLimit   int
+	replications int
+	parallelism  int
 
 	// observability knobs: metricsBuckets > 0 turns the hook recorder on
 	// and sizes Result.Series; metricsSink optionally tees the raw record
@@ -471,30 +470,6 @@ func Replications(n int) Option {
 func Parallelism(k int) Option {
 	return func(cfg *config) error {
 		cfg.parallelism = k
-		return nil
-	}
-}
-
-// IntraParallelism partitions a single simulation run across p shards of
-// the conservative parallel engine (internal/sim/par): the network is
-// split spatially, each shard advances on its own event engine, and the
-// shards synchronize in lookahead-wide windows. The Result is
-// bitwise-identical to the serial engine's for every p (pinned by
-// TestParallelMatchesSerial and FuzzParallelVsSerial) — like Parallelism
-// this is execution advice, not content, so it never enters the Spec
-// fingerprint. p <= 1 selects the serial engine.
-//
-// The parallel engine declines configurations it cannot reproduce
-// exactly and runs them serially instead: drain, detail, tracing,
-// per-event hooks (metrics recording included), trace record/replay,
-// and integer-lattice arrival processes ("bernoulli", "periodic") whose
-// cross-node event-time ties encode the serial engine's global
-// scheduling order. A run that hits saturation mid-flight is also
-// rerun serially — the truncated stop is a global-order artifact. In
-// every such case the option costs nothing and changes nothing.
-func IntraParallelism(p int) Option {
-	return func(cfg *config) error {
-		cfg.intraParallelism = p
 		return nil
 	}
 }

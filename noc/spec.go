@@ -91,10 +91,9 @@ type Spec struct {
 	TraceLimit        int     `json:"trace_limit,omitempty"`
 	Replications      int     `json:"replications,omitempty"`
 	Parallelism       int     `json:"parallelism,omitempty"`
-	// IntraParallelism shards a single run across the conservative
-	// parallel engine (the IntraParallelism option). Like Parallelism it
-	// is execution advice with a bitwise-invariant Result, so Canonical
-	// clears it and it never perturbs the Fingerprint.
+	// IntraParallelism is accepted so stored client specs that carry it
+	// keep parsing and keep their fingerprints; nothing reads it.
+	// Validate range-checks it and Canonical clears it.
 	IntraParallelism int `json:"intra_parallelism,omitempty"`
 
 	// Metrics enables time-series recording (the Metrics option):
@@ -536,9 +535,6 @@ func (sp Spec) tuningOptions() []Option {
 		// part of the canonical content.
 		opts = append(opts, Parallelism(sp.Parallelism))
 	}
-	if sp.IntraParallelism != 0 {
-		opts = append(opts, IntraParallelism(sp.IntraParallelism))
-	}
 	return opts
 }
 
@@ -631,7 +627,6 @@ func (s *Scenario) Spec() Spec {
 		SatQueue: c.satQueue, Drain: c.drain, Detail: c.detail,
 		MulticastPriority: c.mcPriority,
 		Replications:      c.replications, Parallelism: c.parallelism,
-		IntraParallelism: c.intraParallelism,
 	}
 	if c.traceEnabled {
 		sp.TraceNode, sp.TraceLimit = c.traceNode, c.traceLimit

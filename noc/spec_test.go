@@ -175,6 +175,7 @@ func TestSpecCanonicalization(t *testing.T) {
 	}{
 		{"explicit defaults", Spec{Topology: "quarc", N: 16, Rate: 0.002, MsgLen: 32, Arrival: "poisson", Spatial: "uniform", Pattern: "none", Seed: 1, Warmup: 10000, Measure: 100000, Wait: "pk", Service: "eq6", Evaluator: "simulator", Router: "quarc"}, true},
 		{"parallelism is not content", Spec{Topology: "quarc", N: 16, Rate: 0.002, Parallelism: 8}, true},
+		{"intra_parallelism is not content", Spec{Topology: "quarc", N: 16, Rate: 0.002, IntraParallelism: 4}, true},
 		{"one replication is the single-run path", Spec{Topology: "quarc", N: 16, Rate: 0.002, Replications: 1}, true},
 		{"onoff knobs cleared under poisson", Spec{Topology: "quarc", N: 16, Rate: 0.002, BurstLen: 9, DutyCycle: 0.5}, true},
 		{"pattern params cleared under none", Spec{Topology: "quarc", N: 16, Rate: 0.002, Dests: 4, Port: 2, SetSeed: 5}, true},
@@ -266,6 +267,7 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"bad evaluator", Spec{Evaluator: "oracle"}},
 		{"huge replications", Spec{Replications: 1 << 20}},
 		{"negative replications", Spec{Replications: -2}},
+		{"negative intra_parallelism", Spec{IntraParallelism: -1}},
 		{"record and replay", Spec{Record: "a", Replay: "b"}},
 	}
 	for _, tc := range cases {
@@ -300,6 +302,10 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 	if sp.N != 16 || sp.Rate != 0.002 {
 		t.Errorf("parsed spec = %+v", sp)
+	}
+	// Stored specs may still carry the retired intra_parallelism field.
+	if _, err := ParseSpec([]byte(`{"intra_parallelism": 4, "rate": 0.004}`)); err != nil {
+		t.Errorf("intra_parallelism refused: %v", err)
 	}
 }
 
